@@ -13,7 +13,7 @@
 //! "night" trough, vanishes at "noon"), which shapes offered load without
 //! opening the loop.
 
-use feam_svc::bench::stream_request;
+use feam_svc::bench::{fingerprint, percentile, stream_request};
 use feam_svc::{BenchParams, Fleet, FleetConfig, PredictService, RegisteredBinary, ServiceConfig};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -171,9 +171,9 @@ fn node_config(seed: u64) -> ServiceConfig {
     }
 }
 
-/// Build a started fleet of `n` nodes with the corpus subset registered
-/// through the fleet's op log (rank-prefixed names, as in the serve
-/// bench).
+/// Build a started fleet of `n` nodes with the serving benches' corpus
+/// subset ([`crate::serve::bench_corpus`]) registered through the fleet's
+/// op log.
 fn build_fleet(
     params: &FleetBenchParams,
     n: usize,
@@ -194,33 +194,6 @@ fn build_fleet(
     }
     fleet.start();
     fleet
-}
-
-/// The deterministic corpus subset: rank-prefixed `(name, image, home)`
-/// triples, strided through the evaluation corpus exactly as the serve
-/// bench strides it.
-fn bench_corpus(params: &FleetBenchParams) -> Vec<(String, std::sync::Arc<Vec<u8>>, String)> {
-    let exp = crate::Experiment::new(params.seed);
-    let items = exp.corpus.binaries();
-    let stride = (items.len() / params.binaries.max(1)).max(1);
-    let site_names: Vec<String> = exp.sites.iter().map(|s| s.name().to_string()).collect();
-    items
-        .iter()
-        .step_by(stride)
-        .take(params.binaries)
-        .enumerate()
-        .map(|(rank, item)| {
-            let home = site_names
-                .get(item.compiled_at)
-                .cloned()
-                .unwrap_or_else(|| site_names[0].clone());
-            (
-                format!("{rank:03}-{}", item.label()),
-                item.image.clone(),
-                home,
-            )
-        })
-        .collect()
 }
 
 /// Raised-cosine diurnal think time for stream position `i`: zero at
@@ -256,20 +229,6 @@ struct KillScript {
     node: usize,
     kill_at: usize,
     revive_at: usize,
-}
-
-/// Canonical per-request answer (same shape as the serve bench's
-/// fingerprint): byte-equal means prediction-equal.
-fn fingerprint(
-    req: &feam_svc::PredictRequest,
-    prediction: &feam_core::predict::Prediction,
-) -> String {
-    format!(
-        "{}@{}:{}",
-        req.binary_ref,
-        req.target_site,
-        serde_json::to_string(prediction).expect("prediction serializes")
-    )
 }
 
 /// Run `n` requests of the seeded stream against the fleet from
@@ -336,14 +295,6 @@ fn run_stream(
     }
 }
 
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 fn phase_stats(results: &[Option<Answered>]) -> PhaseStats {
     let mut latencies: Vec<u64> = Vec::new();
     let mut stats = PhaseStats {
@@ -400,7 +351,7 @@ pub fn fleet_bench(seed: u64, quick: bool) -> FleetBenchReport {
     } else {
         FleetBenchParams::standard(seed)
     };
-    let corpus = bench_corpus(&params);
+    let corpus = crate::serve::bench_corpus(&crate::Experiment::new(seed), params.binaries);
 
     let mut scale_out = Vec::new();
     for &nodes in &params.scale_points {

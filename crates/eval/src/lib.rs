@@ -42,7 +42,7 @@ pub use provenance_bench::{
     provenance_bench, render_provenance, ProvenanceBenchReport, MIN_FAMILY_ACCURACY,
 };
 pub use recompile::{recompile_comparison, render_recompile, RecompileComparison};
-pub use serve::{build_service, build_service_with, render_serve, serve_bench};
+pub use serve::{bench_corpus, bench_service, build_service, render_serve, serve_bench};
 pub use tables::{
     ablation, confusion, per_site, render_ablation, render_confusion, render_figure,
     render_per_site, render_stats, render_table1, render_table2, render_table3, render_table4,

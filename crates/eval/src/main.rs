@@ -34,6 +34,7 @@ use feam_eval::{
     stats, table1, table3, table4, Experiment,
 };
 
+#[derive(Default)]
 struct Args {
     seed: u64,
     seeds: u32,
@@ -70,70 +71,27 @@ fn parse_args() -> Args {
     let mut args = Args {
         seed: 42,
         seeds: 1,
-        tables: Vec::new(),
-        figures: Vec::new(),
-        want_stats: false,
-        want_ablation: false,
-        want_recompile: false,
-        want_mode_ablation: false,
-        want_telemetry: false,
-        chaos: None,
-        json: None,
-        all: false,
-        serve_bench: false,
-        plan_bench: false,
-        obs_bench: false,
-        fleet_bench: false,
-        provenance_bench: false,
-        agreement: false,
-        conform: false,
         universes: 100,
-        universe_seed: None,
-        quick: false,
-        max_p99_us: None,
-        max_uncached_p99_us: None,
-        min_hit_rate: None,
-        min_speedup: None,
         max_overhead: 0.05,
-        min_availability: None,
-        max_p99_inflation: None,
+        ..Args::default()
     };
     let mut iter = std::env::args().skip(1);
     while let Some(a) = iter.next() {
         match a.as_str() {
-            "--seed" => {
-                args.seed = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--seed needs a number"));
-            }
-            "--table" => {
-                args.tables.push(
-                    iter.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| die("--table needs 1..4")),
-                );
-            }
-            "--figure" => {
-                args.figures.push(
-                    iter.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| die("--figure needs 1..4")),
-                );
-            }
-            "--seeds" => {
-                args.seeds = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--seeds needs a count"));
-            }
+            "--seed" => args.seed = value(&mut iter, |_| true, "--seed needs a number"),
+            "--table" => args
+                .tables
+                .push(value(&mut iter, |_| true, "--table needs 1..4")),
+            "--figure" => args
+                .figures
+                .push(value(&mut iter, |_| true, "--figure needs 1..4")),
+            "--seeds" => args.seeds = value(&mut iter, |_| true, "--seeds needs a count"),
             "--chaos" => {
-                args.chaos = Some(
-                    iter.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|r| (0.0..=1.0).contains(r))
-                        .unwrap_or_else(|| die("--chaos needs a fault rate in [0, 1]")),
-                );
+                args.chaos = Some(value(
+                    &mut iter,
+                    unit,
+                    "--chaos needs a fault rate in [0, 1]",
+                ))
             }
             "--serve-bench" => args.serve_bench = true,
             "--plan-bench" => args.plan_bench = true,
@@ -143,11 +101,7 @@ fn parse_args() -> Args {
             "--agreement" => args.agreement = true,
             "--conform" => args.conform = true,
             "--universes" => {
-                args.universes = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|n| *n > 0)
-                    .unwrap_or_else(|| die("--universes needs a positive count"));
+                args.universes = value(&mut iter, |n| *n > 0, "--universes needs a positive count")
             }
             "--universe-seed" => {
                 args.universe_seed = Some(
@@ -158,57 +112,53 @@ fn parse_args() -> Args {
             }
             "--quick" => args.quick = true,
             "--max-p99-us" => {
-                args.max_p99_us = Some(
-                    iter.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| die("--max-p99-us needs microseconds")),
-                );
+                args.max_p99_us = Some(value(
+                    &mut iter,
+                    |_| true,
+                    "--max-p99-us needs microseconds",
+                ))
             }
             "--max-uncached-p99-us" => {
-                args.max_uncached_p99_us = Some(
-                    iter.next()
-                        .and_then(|v| v.parse().ok())
-                        .unwrap_or_else(|| die("--max-uncached-p99-us needs microseconds")),
-                );
+                args.max_uncached_p99_us = Some(value(
+                    &mut iter,
+                    |_| true,
+                    "--max-uncached-p99-us needs microseconds",
+                ))
             }
             "--min-hit-rate" => {
-                args.min_hit_rate = Some(
-                    iter.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|r| (0.0..=1.0).contains(r))
-                        .unwrap_or_else(|| die("--min-hit-rate needs a fraction in [0, 1]")),
-                );
+                args.min_hit_rate = Some(value(
+                    &mut iter,
+                    unit,
+                    "--min-hit-rate needs a fraction in [0, 1]",
+                ))
             }
             "--min-speedup" => {
-                args.min_speedup = Some(
-                    iter.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|r| *r >= 0.0)
-                        .unwrap_or_else(|| die("--min-speedup needs a ratio")),
-                );
+                args.min_speedup = Some(value(
+                    &mut iter,
+                    |r| *r >= 0.0,
+                    "--min-speedup needs a ratio",
+                ))
             }
             "--min-availability" => {
-                args.min_availability = Some(
-                    iter.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|r| (0.0..=1.0).contains(r))
-                        .unwrap_or_else(|| die("--min-availability needs a fraction in [0, 1]")),
-                );
+                args.min_availability = Some(value(
+                    &mut iter,
+                    unit,
+                    "--min-availability needs a fraction in [0, 1]",
+                ))
             }
             "--max-p99-inflation" => {
-                args.max_p99_inflation = Some(
-                    iter.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|r| *r >= 1.0)
-                        .unwrap_or_else(|| die("--max-p99-inflation needs a ratio >= 1")),
-                );
+                args.max_p99_inflation = Some(value(
+                    &mut iter,
+                    |r| *r >= 1.0,
+                    "--max-p99-inflation needs a ratio >= 1",
+                ))
             }
             "--max-overhead" => {
-                args.max_overhead = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|r| *r >= 0.0)
-                    .unwrap_or_else(|| die("--max-overhead needs a non-negative fraction"));
+                args.max_overhead = value(
+                    &mut iter,
+                    |r| *r >= 0.0,
+                    "--max-overhead needs a non-negative fraction",
+                )
             }
             "--stats" => args.want_stats = true,
             "--ablation" => args.want_ablation = true,
@@ -261,6 +211,24 @@ fn parse_args() -> Args {
         args.all = true;
     }
     args
+}
+
+/// The next argument parsed as a `T` that passes `ok`; exits with `msg`
+/// otherwise.
+fn value<T: std::str::FromStr>(
+    iter: &mut impl Iterator<Item = String>,
+    ok: impl Fn(&T) -> bool,
+    msg: &str,
+) -> T {
+    iter.next()
+        .and_then(|v| v.parse().ok())
+        .filter(ok)
+        .unwrap_or_else(|| die(msg))
+}
+
+/// A fraction in `[0, 1]`.
+fn unit(r: &f64) -> bool {
+    (0.0..=1.0).contains(r)
 }
 
 fn die(msg: &str) -> ! {
@@ -320,261 +288,209 @@ fn conform_main(args: &Args) -> ! {
         print!("{}", shrunk.render());
     }
     if let Some(path) = &args.json {
-        std::fs::write(
-            path,
-            serde_json::to_string_pretty(&report.to_json()).expect("serialize"),
-        )
-        .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-        eprintln!("wrote {path}");
+        write_json(path, &report.to_json());
     }
     std::process::exit(if report.ok() { 0 } else { 1 });
 }
 
-/// `--serve-bench`: run the serving benchmark, optionally gate on
-/// thresholds, optionally write the JSON report. Exits the process.
-fn serve_bench_main(args: &Args) -> ! {
-    eprintln!(
-        "serving benchmark (seed {}, {}) ...",
-        args.seed,
-        if args.quick { "quick" } else { "standard" }
-    );
-    let cmp = feam_eval::serve_bench(args.seed, args.quick);
-    print!("{}", feam_eval::render_serve(&cmp));
+/// Write a JSON report to `path` and say so on stderr.
+fn write_json(path: &str, value: &serde_json::Value) {
+    std::fs::write(
+        path,
+        serde_json::to_string_pretty(value).expect("serialize"),
+    )
+    .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
+    eprintln!("wrote {path}");
+}
+
+/// The one report/gate path of every bench and study mode: announce the
+/// run, run it, print `render`'s report, write `--json` if asked, print
+/// each failed gate as a `FAIL:` line, and exit 1 if any failed. `gates`
+/// returns one entry per gate, `Some(reason)` when it failed. Exits the
+/// process.
+fn run_bench<R: serde::Serialize>(
+    args: &Args,
+    title: &str,
+    run: impl FnOnce(u64, bool) -> R,
+    render: fn(&R) -> String,
+    gates: impl FnOnce(&R) -> Vec<Option<String>>,
+) -> ! {
+    let mode = if args.quick { "quick" } else { "standard" };
+    eprintln!("{title} (seed {}, {mode}) ...", args.seed);
+    let report = run(args.seed, args.quick);
+    print!("{}", render(&report));
     if let Some(path) = &args.json {
-        std::fs::write(
-            path,
-            serde_json::to_string_pretty(&serde_json::to_value(&cmp).expect("serialize"))
-                .expect("serialize"),
-        )
-        .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-        eprintln!("wrote {path}");
+        write_json(path, &serde_json::to_value(&report).expect("serialize"));
     }
-    let mut failed = false;
-    if let Some(max) = args.max_p99_us {
-        if cmp.cached.p99_us > max {
-            eprintln!(
-                "FAIL: cached p99 {}us exceeds threshold {}us",
-                cmp.cached.p99_us, max
-            );
-            failed = true;
-        }
+    let failures: Vec<String> = gates(&report).into_iter().flatten().collect();
+    for failure in &failures {
+        eprintln!("FAIL: {failure}");
     }
-    if let Some(max) = args.max_uncached_p99_us {
-        if cmp.uncached.p99_us > max {
-            eprintln!(
-                "FAIL: uncached p99 {}us exceeds threshold {}us",
-                cmp.uncached.p99_us, max
-            );
-            failed = true;
-        }
-    }
-    if let Some(min) = args.min_hit_rate {
-        let hit_rate = cmp.cached.result_cache_hits as f64 / cmp.cached.completed.max(1) as f64;
-        if hit_rate < min {
-            eprintln!("FAIL: result-cache hit rate {hit_rate:.3} below threshold {min:.3}");
-            failed = true;
-        }
-    }
-    if !cmp.equivalent {
-        eprintln!("FAIL: cached and uncached predictions diverged");
-        failed = true;
-    }
-    std::process::exit(if failed { 1 } else { 0 });
+    std::process::exit(i32::from(!failures.is_empty()));
+}
+
+/// `--serve-bench`: gates on cached/uncached p99 and the result-cache hit
+/// rate when asked, and always on cached-vs-uncached equivalence.
+fn serve_bench_main(args: &Args) -> ! {
+    run_bench(
+        args,
+        "serving benchmark",
+        feam_eval::serve_bench,
+        feam_eval::render_serve,
+        |cmp| {
+            let (cached, uncached) = (&cmp.cached, &cmp.uncached);
+            let hit_rate = cached.result_cache_hits as f64 / cached.completed.max(1) as f64;
+            vec![
+                args.max_p99_us
+                    .filter(|&max| cached.p99_us > max)
+                    .map(|max| format!("cached p99 {}us exceeds threshold {max}us", cached.p99_us)),
+                args.max_uncached_p99_us
+                    .filter(|&max| uncached.p99_us > max)
+                    .map(|max| {
+                        format!(
+                            "uncached p99 {}us exceeds threshold {max}us",
+                            uncached.p99_us
+                        )
+                    }),
+                args.min_hit_rate.filter(|&min| hit_rate < min).map(|min| {
+                    format!("result-cache hit rate {hit_rate:.3} below threshold {min:.3}")
+                }),
+                (!cmp.equivalent).then(|| "cached and uncached predictions diverged".into()),
+            ]
+        },
+    )
 }
 
 /// `--obs-bench`: measure telemetry overhead on the cached serving path
-/// and gate on it. Exits the process.
+/// and gate on it.
 fn obs_bench_main(args: &Args) -> ! {
-    eprintln!(
-        "telemetry overhead benchmark (seed {}, {}) ...",
-        args.seed,
-        if args.quick { "quick" } else { "standard" }
-    );
-    let report = feam_eval::obs_bench(args.seed, args.quick, args.max_overhead);
-    print!("{}", feam_eval::render_obs_bench(&report));
-    if let Some(path) = &args.json {
-        std::fs::write(
-            path,
-            serde_json::to_string_pretty(&serde_json::to_value(&report).expect("serialize"))
-                .expect("serialize"),
-        )
-        .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-        eprintln!("wrote {path}");
-    }
-    if !report.pass {
-        eprintln!(
-            "FAIL: serving-recorder cached-path p99 {}us exceeds budget \
-             (null-sink p99 {}us x {:.2} + {}us slack)",
-            report.full.hit_p99_us,
-            report.null_sink.hit_p99_us,
-            1.0 + report.max_overhead,
-            report.slack_us
-        );
-    }
-    std::process::exit(if report.pass { 0 } else { 1 });
+    run_bench(
+        args,
+        "telemetry overhead benchmark",
+        |seed, quick| feam_eval::obs_bench(seed, quick, args.max_overhead),
+        feam_eval::render_obs_bench,
+        |r| {
+            vec![(!r.pass).then(|| {
+                format!(
+                    "serving-recorder cached-path p99 {}us exceeds budget \
+                     (null-sink p99 {}us x {:.2} + {}us slack)",
+                    r.full.hit_p99_us,
+                    r.null_sink.hit_p99_us,
+                    1.0 + r.max_overhead,
+                    r.slack_us
+                )
+            })]
+        },
+    )
 }
 
-/// `--fleet-bench`: run the sharded-fleet benchmark — scale-out curve
-/// plus the mid-stream node-kill drill. Always gates on fleet-vs-oracle
+/// `--fleet-bench`: the sharded-fleet benchmark — scale-out curve plus
+/// the mid-stream node-kill drill. Always gates on fleet-vs-oracle
 /// equivalence; `--min-availability` and `--max-p99-inflation` add CI
-/// thresholds on the brownout. Exits the process.
+/// thresholds on the brownout.
 fn fleet_bench_main(args: &Args) -> ! {
-    eprintln!(
-        "fleet benchmark (seed {}, {}) ...",
-        args.seed,
-        if args.quick { "quick" } else { "standard" }
-    );
-    let report = feam_eval::fleet_bench(args.seed, args.quick);
-    print!("{}", feam_eval::render_fleet(&report));
-    if let Some(path) = &args.json {
-        std::fs::write(
-            path,
-            serde_json::to_string_pretty(&serde_json::to_value(&report).expect("serialize"))
-                .expect("serialize"),
-        )
-        .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-        eprintln!("wrote {path}");
-    }
-    let mut failed = false;
-    if !report.kill_drill.equivalent {
-        eprintln!(
-            "FAIL: {} fleet answers diverged from the single-node oracle",
-            report.kill_drill.wrong_answers
-        );
-        failed = true;
-    }
-    if let Some(min) = args.min_availability {
-        if report.kill_drill.availability < min {
-            eprintln!(
-                "FAIL: availability {:.4} below threshold {:.4}",
-                report.kill_drill.availability, min
-            );
-            failed = true;
-        }
-    }
-    if let Some(max) = args.max_p99_inflation {
-        if report.kill_drill.p99_inflation_during > max {
-            eprintln!(
-                "FAIL: p99 inflated {:.2}x during the outage (threshold {:.2}x)",
-                report.kill_drill.p99_inflation_during, max
-            );
-            failed = true;
-        }
-    }
-    std::process::exit(if failed { 1 } else { 0 });
+    run_bench(
+        args,
+        "fleet benchmark",
+        feam_eval::fleet_bench,
+        feam_eval::render_fleet,
+        |r| {
+            let d = &r.kill_drill;
+            vec![
+                (!d.equivalent).then(|| {
+                    format!(
+                        "{} fleet answers diverged from the single-node oracle",
+                        d.wrong_answers
+                    )
+                }),
+                args.min_availability
+                    .filter(|&min| d.availability < min)
+                    .map(|min| {
+                        format!(
+                            "availability {:.4} below threshold {min:.4}",
+                            d.availability
+                        )
+                    }),
+                args.max_p99_inflation
+                    .filter(|&max| d.p99_inflation_during > max)
+                    .map(|max| {
+                        format!(
+                            "p99 inflated {:.2}x during the outage (threshold {max:.2}x)",
+                            d.p99_inflation_during
+                        )
+                    }),
+            ]
+        },
+    )
 }
 
-/// `--plan-bench`: run the placement-planning benchmark. Always gates on
+/// `--plan-bench`: the placement-planning benchmark. Always gates on
 /// ranking identity to the sequential oracle and on rank stability;
-/// `--max-p99-us` and `--min-speedup` add CI thresholds. Exits the
-/// process.
+/// `--max-p99-us` and `--min-speedup` add CI thresholds.
 fn plan_bench_main(args: &Args) -> ! {
-    eprintln!(
-        "placement planning benchmark (seed {}, {}) ...",
-        args.seed,
-        if args.quick { "quick" } else { "standard" }
-    );
-    let report = feam_eval::plan_bench(args.seed, args.quick);
-    print!("{}", feam_eval::render_plan(&report));
-    if let Some(path) = &args.json {
-        std::fs::write(
-            path,
-            serde_json::to_string_pretty(&serde_json::to_value(&report).expect("serialize"))
-                .expect("serialize"),
-        )
-        .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-        eprintln!("wrote {path}");
-    }
-    let mut failed = false;
-    if !report.rank_matches_oracle {
-        eprintln!("FAIL: parallel ranking diverged from the sequential oracle");
-        failed = true;
-    }
-    if !report.rank_stable {
-        eprintln!("FAIL: repeated runs produced different rankings (same seed)");
-        failed = true;
-    }
-    if let Some(max) = args.max_p99_us {
-        if report.p99_us > max {
-            eprintln!(
-                "FAIL: per-plan p99 {}us exceeds threshold {}us",
-                report.p99_us, max
-            );
-            failed = true;
-        }
-    }
-    if let Some(min) = args.min_speedup {
-        if report.speedup < min {
-            eprintln!(
-                "FAIL: speedup {:.2}x below threshold {:.2}x",
-                report.speedup, min
-            );
-            failed = true;
-        }
-    }
-    std::process::exit(if failed { 1 } else { 0 });
+    run_bench(
+        args,
+        "placement planning benchmark",
+        feam_eval::plan_bench,
+        feam_eval::render_plan,
+        |r| {
+            vec![
+                (!r.rank_matches_oracle)
+                    .then(|| "parallel ranking diverged from the sequential oracle".into()),
+                (!r.rank_stable)
+                    .then(|| "repeated runs produced different rankings (same seed)".into()),
+                args.max_p99_us
+                    .filter(|&max| r.p99_us > max)
+                    .map(|max| format!("per-plan p99 {}us exceeds threshold {max}us", r.p99_us)),
+                args.min_speedup
+                    .filter(|&min| r.speedup < min)
+                    .map(|min| format!("speedup {:.2}x below threshold {min:.2}x", r.speedup)),
+            ]
+        },
+    )
 }
 
-/// `--agreement`: run the tool-agreement study. Gates on ensemble
-/// accuracy (>= FEAM alone) and zero FEAM divergences. Exits the
-/// process.
+/// `--agreement`: the tool-agreement study. Gates on ensemble accuracy
+/// (>= FEAM alone) and zero FEAM divergences.
 fn agreement_main(args: &Args) -> ! {
-    eprintln!(
-        "tool agreement study (seed {}, {}) ...",
-        args.seed,
-        if args.quick { "quick" } else { "standard" }
-    );
-    let report = feam_eval::agreement_study(args.seed, args.quick);
-    print!("{}", feam_eval::render_agreement(&report));
-    if let Some(path) = &args.json {
-        std::fs::write(
-            path,
-            serde_json::to_string_pretty(&serde_json::to_value(&report).expect("serialize"))
-                .expect("serialize"),
-        )
-        .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-        eprintln!("wrote {path}");
-    }
-    if !report.pass {
-        eprintln!(
-            "FAIL: ensemble accuracy {:.3} vs feam alone {:.3}, {} feam divergences",
-            report.ensemble_accuracy, report.feam_accuracy, report.feam_divergences
-        );
-    }
-    std::process::exit(if report.pass { 0 } else { 1 });
+    run_bench(
+        args,
+        "tool agreement study",
+        feam_eval::agreement_study,
+        feam_eval::render_agreement,
+        |r| {
+            vec![(!r.pass).then(|| {
+                format!(
+                    "ensemble accuracy {:.3} vs feam alone {:.3}, {} feam divergences",
+                    r.ensemble_accuracy, r.feam_accuracy, r.feam_divergences
+                )
+            })]
+        },
+    )
 }
 
 /// `--provenance-bench`: grade the fallback evidence tier on the hostile
 /// corpus. Gates on compiler-family accuracy and zero confidence
-/// inversions. Exits the process.
+/// inversions.
 fn provenance_bench_main(args: &Args) -> ! {
-    eprintln!(
-        "provenance benchmark (seed {}, {}) ...",
-        args.seed,
-        if args.quick { "quick" } else { "standard" }
-    );
-    let report = feam_eval::provenance_bench(args.seed, args.quick);
-    print!("{}", feam_eval::render_provenance(&report));
-    if let Some(path) = &args.json {
-        std::fs::write(
-            path,
-            serde_json::to_string_pretty(&serde_json::to_value(&report).expect("serialize"))
-                .expect("serialize"),
-        )
-        .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-        eprintln!("wrote {path}");
-    }
-    if !report.pass {
-        eprintln!(
-            "FAIL: family accuracy {:.3} (floor {:.3}), {} claim-level and {} \
-             prediction-level confidence inversions",
-            report.family_accuracy,
-            report.min_family_accuracy,
-            report.claim_inversions,
-            report.prediction_inversions
-        );
-    }
-    std::process::exit(if report.pass { 0 } else { 1 });
+    run_bench(
+        args,
+        "provenance benchmark",
+        feam_eval::provenance_bench,
+        feam_eval::render_provenance,
+        |r| {
+            vec![(!r.pass).then(|| {
+                format!(
+                    "family accuracy {:.3} (floor {:.3}), {} claim-level and {} \
+                     prediction-level confidence inversions",
+                    r.family_accuracy,
+                    r.min_family_accuracy,
+                    r.claim_inversions,
+                    r.prediction_inversions
+                )
+            })]
+        },
+    )
 }
 
 fn main() {
@@ -786,11 +702,6 @@ fn main() {
                 );
             }
         }
-        std::fs::write(
-            path,
-            serde_json::to_string_pretty(&payload).expect("serialize"),
-        )
-        .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-        eprintln!("wrote {path}");
+        write_json(path, &payload);
     }
 }

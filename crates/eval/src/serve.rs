@@ -3,54 +3,65 @@
 //! latency percentiles, cache hit rates and cached-vs-uncached
 //! equivalence. The committed baseline lives in `BENCH_serve.json`.
 
+use crate::Experiment;
 use feam_svc::{
     BenchParams, PredictService, RegisteredBinary, ServeBenchComparison, ServiceConfig,
 };
+use std::sync::Arc;
 
-/// Build a service over the standard testbed with a deterministic,
-/// popularity-ranked subset of the evaluation corpus registered.
+/// The deterministic, popularity-ranked corpus subset every serving bench
+/// registers: `(name, image, home site)` per binary.
 ///
 /// The subset strides through the corpus (rather than taking a prefix) so
-/// it spans suites, home sites and MPI stacks; its order — and therefore
-/// which binaries the Zipf head lands on — depends only on `seed`.
-pub fn build_service(seed: u64, binaries: usize, caching: bool) -> PredictService {
-    build_service_with(seed, binaries, caching, feam_obs::Recorder::disabled())
-}
-
-/// [`build_service`] with an explicit telemetry recorder — the telemetry
-/// overhead bench builds otherwise-identical services that differ only in
-/// their recorder.
-pub fn build_service_with(
-    seed: u64,
-    binaries: usize,
-    caching: bool,
-    recorder: feam_obs::Recorder,
-) -> PredictService {
-    let exp = crate::Experiment::new(seed);
-    let cfg = ServiceConfig {
-        caching,
-        sites_seed: seed,
-        recorder,
-        ..ServiceConfig::default()
-    };
-    let svc = PredictService::with_sites(cfg, exp.sites);
+/// it spans suites, home sites and MPI stacks. The rank prefix on each
+/// name makes registry order — and therefore which binaries the Zipf head
+/// lands on — deterministic and independent of corpus label collisions.
+pub fn bench_corpus(exp: &Experiment, binaries: usize) -> Vec<(String, Arc<Vec<u8>>, String)> {
     let items = exp.corpus.binaries();
     let stride = (items.len() / binaries.max(1)).max(1);
-    let site_names: Vec<String> = svc.site_names();
-    for (rank, item) in items.iter().step_by(stride).take(binaries).enumerate() {
-        let home = site_names
-            .get(item.compiled_at)
-            .cloned()
-            .unwrap_or_else(|| site_names[0].clone());
-        // Rank prefix makes registry order (and so Zipf popularity)
-        // deterministic and independent of corpus label collisions.
-        svc.register_binary(
-            &format!("{rank:03}-{}", item.label()),
-            RegisteredBinary::new(item.image.clone(), &home),
-        )
-        .expect("rank-prefixed names are unique");
+    items
+        .iter()
+        .step_by(stride)
+        .take(binaries)
+        .enumerate()
+        .map(|(rank, item)| {
+            let home = exp.sites.get(item.compiled_at).unwrap_or(&exp.sites[0]);
+            (
+                format!("{rank:03}-{}", item.label()),
+                item.image.clone(),
+                home.name().to_string(),
+            )
+        })
+        .collect()
+}
+
+/// A service over the standard testbed at `seed` with [`bench_corpus`]
+/// registered. `cfg` carries everything else; its `sites_seed` is set to
+/// `seed`.
+pub fn bench_service(seed: u64, binaries: usize, cfg: ServiceConfig) -> PredictService {
+    let exp = Experiment::new(seed);
+    let corpus = bench_corpus(&exp, binaries);
+    let cfg = ServiceConfig {
+        sites_seed: seed,
+        ..cfg
+    };
+    let svc = PredictService::with_sites(cfg, exp.sites);
+    for (name, image, home) in corpus {
+        svc.register_binary(&name, RegisteredBinary::new(image, &home))
+            .expect("rank-prefixed names are unique");
     }
     svc
+}
+
+/// The serve bench's service: [`bench_service`] with telemetry off and
+/// caches per `caching`.
+pub fn build_service(seed: u64, binaries: usize, caching: bool) -> PredictService {
+    let cfg = ServiceConfig {
+        caching,
+        recorder: feam_obs::Recorder::disabled(),
+        ..ServiceConfig::default()
+    };
+    bench_service(seed, binaries, cfg)
 }
 
 /// Run the serving benchmark at `seed`; `quick` selects the CI-sized

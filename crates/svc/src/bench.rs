@@ -1,5 +1,8 @@
 //! Deterministic serving benchmark: the engine behind
-//! `feam-eval --serve-bench`.
+//! `feam-eval --serve-bench`, and the load-driver primitives every serving
+//! bench shares — the seeded stream ([`stream_request`], [`zipf_rank`]),
+//! the wave driver with shed retry ([`drive`]), the percentile rule
+//! ([`percentile`]) and the prediction [`fingerprint`].
 //!
 //! The workload models what a prediction service actually sees: a
 //! Zipf-skewed stream — a few popular binaries dominate, the tail is
@@ -13,8 +16,8 @@
 //! uncached runs would dominate CI wall clock); throughput is reported in
 //! requests/second so the comparison is length-independent.
 
-use crate::service::{Delivery, PredictRequest, PredictService, SvcError};
-use feam_core::predict::PredictionMode;
+use crate::service::{Delivery, PredictRequest, PredictResponse, PredictService, SvcError};
+use feam_core::predict::{Prediction, PredictionMode};
 use feam_sim::rng;
 use std::time::Instant;
 
@@ -119,19 +122,14 @@ pub fn stream_request(
     i: usize,
 ) -> PredictRequest {
     let idx = i.to_string();
-    // Zipf-skewed binary popularity: rank r drawn with weight 1/r^s.
-    let n = names.len().min(params.binaries).max(1);
-    let total: f64 = (1..=n).map(|r| 1.0 / (r as f64).powf(params.zipf_s)).sum();
-    let mut u = rng::unit_f64(rng::hash_parts(params.seed, &["bin", &idx])) * total;
-    let mut rank = n;
-    for r in 1..=n {
-        u -= 1.0 / (r as f64).powf(params.zipf_s);
-        if u <= 0.0 {
-            rank = r;
-            break;
-        }
-    }
-    let binary_ref = names[rank - 1].clone();
+    let rank = zipf_rank(
+        params.seed,
+        "bin",
+        i,
+        names.len().min(params.binaries),
+        params.zipf_s,
+    );
+    let binary_ref = names[rank].clone();
     let target_site = rng::pick(params.seed, &["site", &idx], sites).clone();
     let mode = if rng::chance(params.seed, &["mode", &idx], params.extended_share) {
         PredictionMode::Extended
@@ -146,14 +144,94 @@ pub fn stream_request(
     }
 }
 
-/// Exact percentile from collected samples (nearest-rank on the sorted
-/// list); 0 when no samples were collected.
-fn percentile(sorted: &[u64], q: f64) -> u64 {
+/// The Zipf popularity draw every seeded bench stream uses: the 0-based
+/// rank of stream position `i` among `n` items (at least one), drawn with
+/// weight `1/r^s` from the hash of `(seed, tag, i)`. The tag keeps streams
+/// independent: `"bin"` for serve requests, `"plan"` for plans.
+pub fn zipf_rank(seed: u64, tag: &str, i: usize, n: usize, s: f64) -> usize {
+    let n = n.max(1);
+    let total: f64 = (1..=n).map(|r| 1.0 / (r as f64).powf(s)).sum();
+    let mut u = rng::unit_f64(rng::hash_parts(seed, &[tag, &i.to_string()])) * total;
+    for r in 1..=n {
+        u -= 1.0 / (r as f64).powf(s);
+        if u <= 0.0 {
+            return r - 1;
+        }
+    }
+    n - 1
+}
+
+/// Exact percentile from collected samples, the one rank rule every bench
+/// reports: index `round((n - 1) * q)` of the sorted list; 0 when no
+/// samples were collected.
+pub fn percentile(sorted: &[u64], q: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }
     let idx = ((sorted.len() - 1) as f64 * q).round() as usize;
     sorted[idx.min(sorted.len() - 1)]
+}
+
+/// Canonical per-request answer: the serialized prediction. Byte-equal
+/// fingerprints mean byte-equal predictions.
+pub fn fingerprint(req: &PredictRequest, prediction: &Prediction) -> String {
+    format!(
+        "{}@{}:{}",
+        req.binary_ref,
+        req.target_site,
+        serde_json::to_string(prediction).expect("prediction serializes")
+    )
+}
+
+/// The load driver every serving bench shares: issue stream positions
+/// `0..requests` against `svc` in waves of `params.wave` submits, then
+/// drain the wave. A shed submit ([`SvcError::Overloaded`]) yields and is
+/// retried until admitted: a bench measures the cost of the whole stream,
+/// and counts how often admission control pushed back. `on_answer`
+/// sees each position once, in stream order, with its request and
+/// response (`from_result_cache` marks answers that never queued).
+/// Returns the number of shed submits.
+pub fn drive(
+    svc: &PredictService,
+    params: &BenchParams,
+    requests: usize,
+    mut on_answer: impl FnMut(usize, &PredictRequest, PredictResponse),
+) -> u64 {
+    let names = svc.binary_names();
+    let sites = svc.site_names();
+    assert!(!names.is_empty(), "bench stream needs registered binaries");
+    let mut shed = 0u64;
+    let mut start = 0;
+    while start < requests {
+        let end = (start + params.wave.max(1)).min(requests);
+        let mut wave = Vec::with_capacity(end - start);
+        for i in start..end {
+            let req = stream_request(params, &names, &sites, i);
+            let delivery = loop {
+                match svc.submit(&req) {
+                    Ok(delivery) => break delivery,
+                    Err(SvcError::Overloaded { .. }) => {
+                        shed += 1;
+                        std::thread::yield_now();
+                    }
+                    Err(e) => panic!("bench stream hit non-retryable error: {e}"),
+                }
+            };
+            wave.push((req, delivery));
+        }
+        for (i, (req, delivery)) in (start..).zip(wave) {
+            let resp = match delivery {
+                Delivery::Ready(resp) => resp,
+                Delivery::Pending(rx) => rx
+                    .recv()
+                    .expect("worker delivers every queued request")
+                    .expect("deadline-free bench requests are never shed post-admission"),
+            };
+            on_answer(i, &req, resp);
+        }
+        start = end;
+    }
+    shed
 }
 
 struct RunOutput {
@@ -168,59 +246,16 @@ fn run_one(
     requests: usize,
     caching: bool,
 ) -> RunOutput {
-    let names = svc.binary_names();
-    let sites = svc.site_names();
-    assert!(!names.is_empty(), "serve bench needs registered binaries");
-
     // Nanosecond samples; microsecond fields are derived at report time.
     let mut latencies: Vec<u64> = Vec::with_capacity(requests);
-    let mut fingerprints: Vec<Option<String>> = vec![None; requests];
-    let mut shed = 0u64;
+    let mut fingerprints = Vec::with_capacity(requests);
     let mut result_cache_hits = 0u64;
     let t0 = Instant::now();
-
-    let mut i = 0;
-    while i < requests {
-        let wave_end = (i + params.wave).min(requests);
-        let mut pending = Vec::new();
-        // `j` is the stream position, not just a `fingerprints` index.
-        #[allow(clippy::needless_range_loop)]
-        for j in i..wave_end {
-            let req = stream_request(params, &names, &sites, j);
-            // Shed requests are retried until admitted — the bench
-            // measures the cost of the whole stream, and counts how often
-            // admission control pushed back.
-            loop {
-                match svc.submit(&req) {
-                    Ok(Delivery::Ready(resp)) => {
-                        result_cache_hits += 1;
-                        latencies.push(resp.latency_ns);
-                        fingerprints[j] = Some(fingerprint(&req, &resp.prediction));
-                        break;
-                    }
-                    Ok(Delivery::Pending(rx)) => {
-                        pending.push((j, req.clone(), rx));
-                        break;
-                    }
-                    Err(SvcError::Overloaded { .. }) => {
-                        shed += 1;
-                        std::thread::yield_now();
-                    }
-                    Err(e) => panic!("serve bench hit non-retryable error: {e}"),
-                }
-            }
-        }
-        for (j, req, rx) in pending {
-            let resp = rx
-                .recv()
-                .expect("worker delivers every queued request")
-                .expect("deadline-free bench requests are never shed post-admission");
-            latencies.push(resp.latency_ns);
-            fingerprints[j] = Some(fingerprint(&req, &resp.prediction));
-        }
-        i = wave_end;
-    }
-
+    let shed = drive(svc, params, requests, |_, req, resp| {
+        result_cache_hits += u64::from(resp.from_result_cache);
+        latencies.push(resp.latency_ns);
+        fingerprints.push(fingerprint(req, &resp.prediction));
+    });
     let wall_seconds = t0.elapsed().as_secs_f64();
     let completed = latencies.len() as u64;
     latencies.sort_unstable();
@@ -228,9 +263,11 @@ fn run_one(
         Some(c) => (c.bdc.stats().hit_rate(), c.edc.stats().hit_rate()),
         None => (0.0, 0.0),
     };
+    // Queued = completed - result-hits - coalesced, and the worker pool ran
+    // one evaluation per queued key.
     let coalesced = completed
         .saturating_sub(result_cache_hits)
-        .saturating_sub(evaluations(svc));
+        .saturating_sub(svc.evaluations());
 
     RunOutput {
         report: ServeBenchReport {
@@ -256,28 +293,8 @@ fn run_one(
             bdc_hit_rate,
             edc_hit_rate,
         },
-        fingerprints: fingerprints
-            .into_iter()
-            .map(|f| f.expect("all answered"))
-            .collect(),
+        fingerprints,
     }
-}
-
-/// Number of evaluations the worker pool actually ran (distinct keys that
-/// reached a worker): queued = completed - result-hits - coalesced.
-fn evaluations(svc: &PredictService) -> u64 {
-    svc.evaluations()
-}
-
-/// Canonical per-request answer: the serialized prediction. Byte-equal
-/// fingerprints mean byte-equal predictions.
-fn fingerprint(req: &PredictRequest, prediction: &feam_core::predict::Prediction) -> String {
-    format!(
-        "{}@{}:{}",
-        req.binary_ref,
-        req.target_site,
-        serde_json::to_string(prediction).expect("prediction serializes")
-    )
 }
 
 /// Run the benchmark: the full stream against a caching service, a prefix
@@ -335,6 +352,65 @@ mod tests {
         // Rank-1 must dominate any single tail binary by a wide margin.
         let count = |name: &str| a.iter().filter(|n| n.as_str() == name).count();
         assert!(count("bin-00") > 4 * count("bin-11"));
+    }
+
+    #[test]
+    fn serve_stream_picks_are_pinned() {
+        // The first 64 binary picks of the quick stream at seed 42, as
+        // ranks into the name list. Any drift in the Zipf draw or its
+        // `"bin"` hash tag changes every seeded serving bench.
+        let params = BenchParams::quick(42);
+        let names: Vec<String> = (0..8).map(|i| format!("bin-{i:02}")).collect();
+        let sites = vec!["ranger".to_string(), "india".to_string()];
+        let rank = |i| {
+            let pick = stream_request(&params, &names, &sites, i).binary_ref;
+            names.iter().position(|n| *n == pick).unwrap().to_string()
+        };
+        let picks: String = (0..64).map(rank).collect();
+        assert_eq!(
+            picks,
+            "1031000601105020605623050140005100300300003700001001403507000220"
+        );
+    }
+
+    #[test]
+    fn driver_answers_every_position_once_in_stream_order_despite_shedding() {
+        use crate::registry::demo_binary;
+        use crate::service::ServiceConfig;
+        // One worker, no caches and a one-slot queue: a wave of distinct
+        // evaluations overruns admission, so submits are shed and retried.
+        let mut svc = PredictService::new(ServiceConfig {
+            workers: 1,
+            queue_capacity: 1,
+            caching: false,
+            result_cache: false,
+            fault_plan: Some(std::sync::Arc::new(feam_sim::faults::FaultPlan::none())),
+            sites_seed: 3,
+            ..ServiceConfig::default()
+        });
+        for i in 0..6 {
+            svc.register_binary(&format!("bin-{i:02}"), demo_binary(3 + i as u64))
+                .unwrap();
+        }
+        svc.start();
+        let params = BenchParams {
+            wave: 8,
+            ..BenchParams::quick(3)
+        };
+        let requests = 40;
+        let (names, sites) = (svc.binary_names(), svc.site_names());
+        let mut seen = Vec::new();
+        let shed = drive(&svc, &params, requests, |i, req, resp| {
+            let expect = stream_request(&params, &names, &sites, i);
+            assert_eq!(req.binary_ref, expect.binary_ref);
+            assert_eq!(req.target_site, expect.target_site);
+            assert_eq!(req.mode, expect.mode);
+            assert_eq!(resp.binary_ref, req.binary_ref);
+            assert_eq!(resp.target_site, req.target_site);
+            seen.push(i);
+        });
+        assert_eq!(seen, (0..requests).collect::<Vec<_>>());
+        assert!(shed > 0, "a one-slot queue must shed some submits");
     }
 
     #[test]

@@ -4,6 +4,9 @@
 //!
 //! Every test skips silently when the required tool is absent.
 
+mod common;
+
+use common::ProbeFile;
 use feam::elf::{Class, ElfSpec, ImportSpec, Machine};
 use std::process::Command;
 
@@ -15,7 +18,7 @@ fn tool_available(name: &str) -> bool {
         .unwrap_or(false)
 }
 
-fn write_sample() -> Option<std::path::PathBuf> {
+fn write_sample() -> Option<ProbeFile> {
     let mut spec = ElfSpec::executable(Machine::X86_64, Class::Elf64);
     spec.needed = vec![
         "libmpi.so.0".into(),
@@ -31,11 +34,7 @@ fn write_sample() -> Option<std::path::PathBuf> {
     ];
     spec.comments = vec!["GCC: (GNU) 4.1.2 20080704 (Red Hat 4.1.2-50)".into()];
     let bytes = spec.build().ok()?;
-    let dir = std::env::temp_dir().join("feam-binutils-check");
-    std::fs::create_dir_all(&dir).ok()?;
-    let path = dir.join("sample_mpi_app");
-    std::fs::write(&path, bytes).ok()?;
-    Some(path)
+    ProbeFile::write("sample_mpi_app", &bytes).ok()
 }
 
 #[test]

@@ -5,14 +5,16 @@
 //! checker members disagree — are advisory output and never fail the
 //! check; lint findings of severity `Error` always do, `--sites` or not.
 
-use std::path::PathBuf;
+mod common;
+
+use common::ProbeFile;
 use std::process::Command;
 
 /// Binary compiled glibc-hungry at Forge (glibc 2.12): clean lint, ready
 /// at home, and *contested* at the older-glibc sites (the symbol-diff
 /// checker and FEAM reject the missing GLIBC version nodes, the
 /// ldd-closure checker — which never looks at versions — accepts).
-fn contested_probe() -> PathBuf {
+fn contested_probe() -> ProbeFile {
     use feam::sim::compile::{compile, ProgramSpec};
     use feam::sim::toolchain::Language;
     use feam::workloads::sites::{standard_sites, FORGE};
@@ -27,15 +29,13 @@ fn contested_probe() -> PathBuf {
     let mut spec = ProgramSpec::new("cg", Language::C);
     spec.glibc_appetite = 1.0;
     let bin = compile(site, Some(stack), &spec, 42).expect("probe compiles");
-    let path = std::env::temp_dir().join(format!("feam-exitcode-{}.elf", std::process::id()));
-    std::fs::write(&path, bin.image.as_slice()).unwrap();
-    path
+    ProbeFile::write("exitcode.elf", bin.image.as_slice()).unwrap()
 }
 
 /// The same probe with its `.gnu.version` section header shrunk by one
 /// entry: still parseable, but the versym/dynsym length mismatch is a
 /// lint `Error`.
-fn error_probe() -> PathBuf {
+fn error_probe() -> ProbeFile {
     let clean = contested_probe();
     let mut bytes = std::fs::read(&clean).unwrap();
     let rd16 = |b: &[u8], o: usize| u16::from_le_bytes([b[o], b[o + 1]]);
@@ -71,9 +71,7 @@ fn error_probe() -> PathBuf {
         }
     }
     assert!(corrupted, "probe carries a .gnu.version section");
-    let path = std::env::temp_dir().join(format!("feam-exitcode-bad-{}.elf", std::process::id()));
-    std::fs::write(&path, &bytes).unwrap();
-    path
+    ProbeFile::write("exitcode-bad.elf", &bytes).unwrap()
 }
 
 fn run_check(args: &[&str]) -> (i32, String) {

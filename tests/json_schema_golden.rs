@@ -10,6 +10,9 @@
 //! FEAM_BLESS=1 cargo test --test json_schema_golden
 //! ```
 
+mod common;
+
+use common::ProbeFile;
 use serde_json::Value;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -82,7 +85,7 @@ fn assert_matches_golden(name: &str, v: &Value) {
 }
 
 /// A small deterministic MPI binary staged to a temp file for the CLI.
-fn probe_elf() -> PathBuf {
+fn probe_elf() -> ProbeFile {
     use feam::sim::compile::{compile, ProgramSpec};
     use feam::sim::toolchain::Language;
     use feam::workloads::sites::{standard_sites, RANGER};
@@ -97,9 +100,7 @@ fn probe_elf() -> PathBuf {
         42,
     )
     .expect("probe compiles");
-    let path = std::env::temp_dir().join(format!("feam-golden-{}.elf", std::process::id()));
-    std::fs::write(&path, bin.image.as_slice()).unwrap();
-    path
+    ProbeFile::write("golden.elf", bin.image.as_slice()).unwrap()
 }
 
 fn cli_json(args: &[&str]) -> Value {
@@ -151,7 +152,7 @@ fn feam_describe_json_schema_is_stable() {
 /// The stripped twin of [`probe_elf`]: `.comment` gone, so `feam identify`
 /// exercises the fallback provenance tier and its JSON surface carries
 /// populated claims.
-fn stripped_probe_elf() -> PathBuf {
+fn stripped_probe_elf() -> ProbeFile {
     use feam::sim::compile::{compile_variant, BinaryVariant, ProgramSpec};
     use feam::sim::toolchain::Language;
     use feam::workloads::sites::{standard_sites, RANGER};
@@ -167,10 +168,7 @@ fn stripped_probe_elf() -> PathBuf {
         BinaryVariant::Stripped,
     )
     .expect("stripped probe compiles");
-    let path =
-        std::env::temp_dir().join(format!("feam-golden-stripped-{}.elf", std::process::id()));
-    std::fs::write(&path, bin.image.as_slice()).unwrap();
-    path
+    ProbeFile::write("golden-stripped.elf", bin.image.as_slice()).unwrap()
 }
 
 #[test]
