@@ -151,7 +151,8 @@ pub fn build_plan_service(
 /// Zipf-popular binary.
 fn nth_plan(params: &PlanBenchParams, names: &[String], i: usize) -> PlanRequest {
     let n = names.len().min(params.binaries);
-    PlanRequest::all_sites(&names[zipf_rank(params.seed, "plan", i, n, params.zipf_s)])
+    let rank = zipf_rank(params.seed, &["plan", &i.to_string()], n, params.zipf_s);
+    PlanRequest::all_sites(&names[rank])
 }
 
 /// Run the parallel planner over the full stream; returns per-plan

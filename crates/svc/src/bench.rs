@@ -112,9 +112,9 @@ pub struct ServeBenchComparison {
     pub equivalent: bool,
 }
 
-/// One request of the seeded stream. Public so other drivers (the obs
-/// check harness, the telemetry overhead bench) can replay the exact
-/// workload the serve bench measures.
+/// One request of the seeded stream. Public so loops other than [`drive`]
+/// (the fleet bench's closed-loop clients) can replay the exact workload
+/// the serve bench measures.
 pub fn stream_request(
     params: &BenchParams,
     names: &[String],
@@ -122,13 +122,8 @@ pub fn stream_request(
     i: usize,
 ) -> PredictRequest {
     let idx = i.to_string();
-    let rank = zipf_rank(
-        params.seed,
-        "bin",
-        i,
-        names.len().min(params.binaries),
-        params.zipf_s,
-    );
+    let n = names.len().min(params.binaries);
+    let rank = zipf_rank(params.seed, &["bin", &idx], n, params.zipf_s);
     let binary_ref = names[rank].clone();
     let target_site = rng::pick(params.seed, &["site", &idx], sites).clone();
     let mode = if rng::chance(params.seed, &["mode", &idx], params.extended_share) {
@@ -144,14 +139,14 @@ pub fn stream_request(
     }
 }
 
-/// The Zipf popularity draw every seeded bench stream uses: the 0-based
-/// rank of stream position `i` among `n` items (at least one), drawn with
-/// weight `1/r^s` from the hash of `(seed, tag, i)`. The tag keeps streams
-/// independent: `"bin"` for serve requests, `"plan"` for plans.
-pub fn zipf_rank(seed: u64, tag: &str, i: usize, n: usize, s: f64) -> usize {
+/// The Zipf popularity draw every seeded bench stream uses: a 0-based
+/// rank among `n` items (at least one), drawn with weight `1/r^s` from
+/// the hash of `(seed, parts)`. Streams pass `[tag, position]`; the tag
+/// keeps them independent: `"bin"` for serve requests, `"plan"` for plans.
+pub fn zipf_rank(seed: u64, parts: &[&str], n: usize, s: f64) -> usize {
     let n = n.max(1);
     let total: f64 = (1..=n).map(|r| 1.0 / (r as f64).powf(s)).sum();
-    let mut u = rng::unit_f64(rng::hash_parts(seed, &[tag, &i.to_string()])) * total;
+    let mut u = rng::unit_f64(rng::hash_parts(seed, parts)) * total;
     for r in 1..=n {
         u -= 1.0 / (r as f64).powf(s);
         if u <= 0.0 {
